@@ -16,7 +16,22 @@ namespace {
 /// parallel_for calls detect it and run inline — see the header.
 thread_local bool t_in_pool_worker = false;
 
+std::atomic<void (*)()> g_after_last_decrement{nullptr};
+std::atomic<void (*)()> g_before_wait{nullptr};
+
+void run_hook(const std::atomic<void (*)()>& hook) {
+  if (const auto fn = hook.load(std::memory_order_acquire)) {
+    fn();
+  }
+}
+
 }  // namespace
+
+void ThreadPool::set_completion_hooks(CompletionHooks hooks) {
+  g_after_last_decrement.store(hooks.after_last_decrement,
+                               std::memory_order_release);
+  g_before_wait.store(hooks.before_wait, std::memory_order_release);
+}
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -84,7 +99,10 @@ void ThreadPool::parallel_for(std::size_t n,
   const std::size_t chunks = std::min(n, 4 * workers);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
 
-  std::atomic<std::size_t> remaining{chunks};
+  // The completion state lives in this frame. Every chunk decrements,
+  // and the last one notifies, under `done_mutex`, so the caller cannot
+  // see zero, return and free the frame while that chunk still uses it.
+  std::size_t remaining = chunks;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   // First exception thrown by any chunk; rethrown to the caller after
@@ -109,17 +127,18 @@ void ThreadPool::parallel_for(std::size_t n,
           error = std::current_exception();
         }
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(done_mutex);
+      std::lock_guard lock(done_mutex);
+      if (--remaining == 0) {
+        run_hook(g_after_last_decrement);
         done_cv.notify_one();
       }
     });
   }
 
+  run_hook(g_before_wait);
   {
     std::unique_lock lock(done_mutex);
-    done_cv.wait(
-        lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (error) {
     std::rethrow_exception(error);

@@ -60,6 +60,17 @@ class ThreadPool {
   /// actual environment variable.
   [[nodiscard]] static std::size_t parse_thread_count(const char* value);
 
+  /// Test-only seam around the completion hand-off of `parallel_for`;
+  /// both hooks are null in production. `after_last_decrement` runs in
+  /// the chunk that finishes the loop, between its decrement and its
+  /// notify; `before_wait` runs in the caller just before it blocks.
+  /// A regression test stretches these windows to order the hand-off.
+  struct CompletionHooks {
+    void (*after_last_decrement)() = nullptr;
+    void (*before_wait)() = nullptr;
+  };
+  static void set_completion_hooks(CompletionHooks hooks);
+
  private:
   void enqueue(std::function<void()> task);
   void worker_loop();

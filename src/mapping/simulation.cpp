@@ -35,8 +35,6 @@ const char* to_string(ExecPath path) {
   switch (path) {
     case ExecPath::Emit:
       return "emit";
-    case ExecPath::Replay:
-      return "replay";
     case ExecPath::Compiled:
       return "compiled";
     case ExecPath::Word:
@@ -45,22 +43,11 @@ const char* to_string(ExecPath path) {
   return "?";
 }
 
-bool PimSimulation::default_program_cache_enabled() {
-  const char* env = std::getenv("WAVEPIM_PROGRAM_CACHE");
-  if (env == nullptr) {
-    return true;
-  }
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
-}
-
 ExecPath PimSimulation::default_exec_path() {
   const char* env = std::getenv("WAVEPIM_EXEC");
   if (env != nullptr) {
     if (std::strcmp(env, "emit") == 0) {
       return ExecPath::Emit;
-    }
-    if (std::strcmp(env, "replay") == 0) {
-      return ExecPath::Replay;
     }
     if (std::strcmp(env, "compiled") == 0) {
       return ExecPath::Compiled;
@@ -68,10 +55,9 @@ ExecPath PimSimulation::default_exec_path() {
     if (std::strcmp(env, "word") == 0) {
       return ExecPath::Word;
     }
-    WAVEPIM_REQUIRE(false,
-                    "WAVEPIM_EXEC must be emit, replay, compiled or word");
+    WAVEPIM_REQUIRE(false, "WAVEPIM_EXEC must be emit, compiled or word");
   }
-  return default_program_cache_enabled() ? ExecPath::Replay : ExecPath::Emit;
+  return ExecPath::Compiled;
 }
 
 std::uint32_t PimSimulation::default_witness_interval() {
@@ -295,20 +281,10 @@ void PimSimulation::set_num_threads(std::size_t num_threads) {
       num_threads == 0 ? nullptr : std::make_unique<ThreadPool>(num_threads);
 }
 
-void PimSimulation::ensure_cache() {
-  if (cache_) {
-    return;
-  }
-  trace::Span span("pim.build_cache");
-  cache_ = std::make_shared<ProgramCache>(
-      setup_, mesh_, volume_coeffs_.empty() ? nullptr : &volume_coeffs_,
-      flux_coeffs_.empty() ? nullptr : &flux_coeffs_);
-}
-
 void PimSimulation::set_shared_cache(std::shared_ptr<ProgramCache> cache) {
   WAVEPIM_REQUIRE(cache != nullptr, "shared cache must not be null");
-  WAVEPIM_REQUIRE(!cache_,
-                  "set_shared_cache must precede the first cached step");
+  WAVEPIM_REQUIRE(
+      !cache_, "set_shared_cache must precede the first compiled or word step");
   WAVEPIM_REQUIRE(volume_coeffs_.empty() && flux_coeffs_.empty(),
                   "heterogeneous media lower per-element coefficients; only "
                   "uniform-material caches are shareable");
@@ -326,7 +302,12 @@ void PimSimulation::ensure_plan() {
   if (plan_) {
     return;
   }
-  ensure_cache();
+  if (!cache_) {
+    trace::Span span("pim.build_cache");
+    cache_ = std::make_shared<ProgramCache>(
+        setup_, mesh_, volume_coeffs_.empty() ? nullptr : &volume_coeffs_,
+        flux_coeffs_.empty() ? nullptr : &flux_coeffs_);
+  }
   trace::Span span("pim.build_plan");
   plan_ = std::make_unique<ExecutionPlan>(*cache_, mesh_, placement_,
                                           pricing_);
@@ -543,11 +524,12 @@ void PimSimulation::fold_ledgers(std::span<const mesh::ElementId> elements,
   }
 }
 
-void PimSimulation::settle_charges(bool compiled) {
+void PimSimulation::settle_charges() {
   // Six sequential pairing groups; within each, pairings touch disjoint
   // element pairs, so they settle concurrently, and every accumulator
   // receives its charges in a fixed (group, face, emission) order.
   trace::Span span("pim.settle");
+  const bool planned = exec_path_ != ExecPath::Emit;
   for (std::size_t group = 0; group < face_pairings_.size(); ++group) {
     const auto& pairing = face_pairings_[group];
     const auto axis = static_cast<mesh::Axis>(group / 2);
@@ -560,7 +542,7 @@ void PimSimulation::settle_charges(bool compiled) {
       // the partner's pull back across -axis owes reads to ours. The
       // charges land in the flux accumulators (not the block ledgers):
       // a batched window may already have evicted the physical blocks.
-      if (compiled) {
+      if (planned) {
         plan_->settle_pull(flux_acc_.data(), e, plus);
         plan_->settle_pull(flux_acc_.data(), nbr, minus);
       } else {
@@ -572,6 +554,15 @@ void PimSimulation::settle_charges(bool compiled) {
         }
       }
     });
+  }
+  if (!planned) {
+    // An element's deferred charges accumulate across one stage's
+    // compute steps; the next stage starts clean.
+    for (auto& charges : charge_stash_) {
+      for (auto& list : charges) {
+        list.clear();
+      }
+    }
   }
 }
 
@@ -646,9 +637,6 @@ void PimSimulation::step(double dt) {
   trace::Span span("pim.step");
   switch (exec_path_) {
     case ExecPath::Emit:
-      break;
-    case ExecPath::Replay:
-      ensure_cache();
       break;
     case ExecPath::Compiled:
       ensure_plan();
@@ -751,39 +739,95 @@ void PimSimulation::witness_verify(
   }
 }
 
-template <typename RunWord, typename RunShadow>
-void PimSimulation::run_word_phase(std::span<const mesh::ElementId> elems,
-                                   int stage, std::uint32_t step_idx,
-                                   RunWord&& run_word,
-                                   RunShadow&& run_shadow) {
-  // Cadence: phase applications are counted across stages and steps;
-  // every witness_interval_-th one (starting with the first) is checked.
-  const bool check = witness_interval_ != 0 &&
-                     (witness_counter_++ % witness_interval_) == 0;
-  if (check) {
-    witness_snapshot(elems);
+template <typename RunCompiled, typename RunWord, typename Emit>
+void PimSimulation::run_phase(std::span<const mesh::ElementId> elems,
+                              int stage, std::uint32_t step_idx,
+                              std::vector<pim::OpCost>& acc,
+                              RunCompiled&& run_compiled, RunWord&& run_word,
+                              Emit&& emit, TransferStash& stash,
+                              bool defer_charges) {
+  const BlockResolver resolver(*chip_, residency_->table());
+  switch (exec_path_) {
+    case ExecPath::Emit:
+      emit_range(elems, emit, stash, defer_charges);
+      break;
+    case ExecPath::Compiled:
+      pool().parallel_for(elems.size(), [&](std::size_t i) {
+        run_compiled(resolver, elems[i]);
+      });
+      break;
+    case ExecPath::Word: {
+      // Witness cadence: phase applications are counted across stages and
+      // steps; every witness_interval_-th one (starting with the first)
+      // is re-executed on the compiled path and compared.
+      const bool check = witness_interval_ != 0 &&
+                         (witness_counter_++ % witness_interval_) == 0;
+      if (check) {
+        witness_snapshot(elems);
+      }
+      const std::size_t chunks =
+          (elems.size() + WordPlan::kChunk - 1) / WordPlan::kChunk;
+      pool().parallel_for(chunks, [&](std::size_t c) {
+        const std::size_t first = c * WordPlan::kChunk;
+        run_word(resolver,
+                 elems.subspan(first, std::min(WordPlan::kChunk,
+                                               elems.size() - first)));
+      });
+      if (check) {
+        witness_verify(elems, stage, step_idx, run_compiled);
+      }
+      break;
+    }
   }
-  const std::size_t chunks =
-      (elems.size() + WordPlan::kChunk - 1) / WordPlan::kChunk;
-  pool().parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t first = c * WordPlan::kChunk;
-    run_word(elems.subspan(first,
-                           std::min(WordPlan::kChunk, elems.size() - first)));
-  });
-  if (check) {
-    witness_verify(elems, stage, step_idx, run_shadow);
+  fold_ledgers(elems, acc);
+}
+
+void PimSimulation::drain_stage() {
+  // Flux phase B: the deferred neighbour-side read charges, settled over
+  // the disjoint pairings after every face group has run.
+  settle_charges();
+
+  // Phase drains, in the fixed volume -> flux -> integration order. The
+  // plan-backed tiers replay their once-scheduled, pre-merged transfer
+  // lists; emit merges its per-element stashes in the same order.
+  const bool planned = exec_path_ != ExecPath::Emit;
+  drain_accumulators(volume_acc_, costs_.volume);
+  if (planned) {
+    drain_network_cached(volume_net_, plan_->volume_transfers());
+  } else {
+    merged_transfers_.clear();
+    for (const auto& list : transfer_stash_) {
+      merged_transfers_.insert(merged_transfers_.end(), list.begin(),
+                               list.end());
+    }
+    drain_network(merged_transfers_);
   }
+  drain_accumulators(flux_acc_, costs_.flux);
+  if (planned) {
+    drain_network_cached(flux_net_, plan_->flux_transfers());
+  } else {
+    // Element-ascending, each element's groups in its canonical
+    // application order — the exact emission order of the schedule, and
+    // the order the compiled plan pre-merges.
+    merged_transfers_.clear();
+    for (mesh::ElementId e = 0; e < mesh_.num_elements(); ++e) {
+      for (const FaceGroup g :
+           canonical_group_order(y_minus_deferred(mesh_, e))) {
+        const auto& list = flux_stash_[static_cast<std::size_t>(g)][e];
+        merged_transfers_.insert(merged_transfers_.end(), list.begin(),
+                                 list.end());
+      }
+    }
+    drain_network(merged_transfers_);
+  }
+  drain_accumulators(integ_acc_, costs_.integration);
+
+  // Staging traffic of this stage pass (zero when fully resident).
+  costs_.hbm += residency_->drain_hbm_cost();
 }
 
 void PimSimulation::run_schedule(double dt) {
-  const bool compiled = exec_path_ == ExecPath::Compiled;
-  const bool word = exec_path_ == ExecPath::Word;
-  // Both plan-backed tiers share the compiled infrastructure: batched
-  // cost aggregates, deferred-charge settlement through the plan, and
-  // the once-scheduled network drains.
-  const bool planned = compiled || word;
-  const bool cached = exec_path_ == ExecPath::Replay;
-  const BlockResolver resolver(*chip_, residency_->table());
+  const auto dt32 = static_cast<float>(dt);
   const BatchSchedule& schedule = residency_->schedule();
   const auto& order = residency_->elements_in_slice_order();
   const std::uint32_t eps = residency_->elements_per_slice();
@@ -796,28 +840,13 @@ void PimSimulation::run_schedule(double dt) {
 
   for (int stage = 0; stage < dg::Lsrk54::kNumStages; ++stage) {
     trace::Span stage_span("pim.rk_stage", static_cast<double>(stage));
-    // Lazy lowering of the stage's Integration stream happens before the
-    // fan-outs (replaying / running it is const and worker-safe).
-    const ProgramCache::IntegrationProgram* integ_prog =
-        cached ? &cache_->integration(stage, static_cast<float>(dt))
-               : nullptr;
+    // The plans lower the stage's Integration streams lazily, which is
+    // not worker-safe: fetch them before the fan-outs. Only the plans the
+    // tier has built exist.
     const ExecutionPlan::StreamPlan* integ_plan =
-        planned ? &plan_->integration(stage, static_cast<float>(dt))
-                : nullptr;
+        plan_ ? &plan_->integration(stage, dt32) : nullptr;
     const WordPlan::WordStream* integ_word =
-        word ? &word_plan_->integration(stage, static_cast<float>(dt))
-             : nullptr;
-
-    if (!planned) {
-      // An element's deferred neighbour-side charges accumulate across
-      // the stage's compute steps; start the stage clean.
-      charge_stash_.resize(mesh_.num_elements());
-      for (auto& charges : charge_stash_) {
-        for (auto& list : charges) {
-          list.clear();
-        }
-      }
-    }
+        word_plan_ ? &word_plan_->integration(stage, dt32) : nullptr;
 
     for (std::uint32_t idx = 0;
          idx < static_cast<std::uint32_t>(schedule.steps.size()); ++idx) {
@@ -840,34 +869,19 @@ void PimSimulation::run_schedule(double dt) {
           }
           if (vf <= bstep.last_slice) {
             trace::Span phase_span("pim.volume");
-            const auto elems = slice_elements(vf, vl);
-            if (word) {
-              run_word_phase(
-                  elems, stage, idx,
-                  [&](std::span<const mesh::ElementId> chunk) {
-                    word_plan_->run_volume(resolver, chunk);
-                  },
-                  [&](const BlockResolver& shadow, mesh::ElementId e) {
-                    plan_->run_volume(shadow, e);
-                  });
-            } else if (compiled) {
-              pool().parallel_for(elems.size(), [&](std::size_t i) {
-                plan_->run_volume(resolver, elems[i]);
-              });
-            } else {
-              emit_range(
-                  elems,
-                  [this, cached](mesh::ElementId e, FunctionalSink& sink) {
-                    if (cached) {
-                      replay(cache_->arena(),
-                             cache_->volume(cache_->class_of(e)), sink);
-                    } else {
-                      emit_volume(setup_, sink, volume_override(e));
-                    }
-                  },
-                  transfer_stash_, /*defer_charges=*/false);
-            }
-            fold_ledgers(elems, volume_acc_);
+            run_phase(
+                slice_elements(vf, vl), stage, idx, volume_acc_,
+                [&](const BlockResolver& blocks, mesh::ElementId e) {
+                  plan_->run_volume(blocks, e);
+                },
+                [&](const BlockResolver& blocks,
+                    std::span<const mesh::ElementId> chunk) {
+                  word_plan_->run_volume(blocks, chunk);
+                },
+                [this](mesh::ElementId e, FunctionalSink& sink) {
+                  emit_volume(setup_, sink, volume_override(e));
+                },
+                transfer_stash_, /*defer_charges=*/false);
           }
           break;
         }
@@ -877,43 +891,25 @@ void PimSimulation::run_schedule(double dt) {
         case BatchStep::Kind::ComputeYPlus: {
           const FaceGroup group = group_of(bstep.kind);
           trace::Span phase_span("pim.flux");
-          const auto elems = slice_elements(bstep.first_slice, bstep.last_slice);
-          if (word) {
-            run_word_phase(
-                elems, stage, idx,
-                [&](std::span<const mesh::ElementId> chunk) {
-                  word_plan_->run_flux_group(resolver, chunk, group);
-                },
-                [&](const BlockResolver& shadow, mesh::ElementId e) {
-                  plan_->run_flux_group(shadow, e, group);
-                });
-          } else if (compiled) {
-            pool().parallel_for(elems.size(), [&](std::size_t i) {
-              plan_->run_flux_group(resolver, elems[i], group);
-            });
-          } else {
-            emit_range(
-                elems,
-                [this, cached, group](mesh::ElementId e,
-                                      FunctionalSink& sink) {
-                  if (cached) {
-                    const std::uint32_t cls = cache_->class_of(e);
-                    for (mesh::Face f : faces_of(group)) {
-                      replay(cache_->arena(), cache_->flux(cls, f), sink);
-                    }
-                  } else {
-                    for (mesh::Face f : faces_of(group)) {
-                      const bool boundary =
-                          !mesh_.neighbor(e, f).has_value();
-                      emit_flux_face(setup_, f, boundary, sink,
-                                     flux_override(e, f));
-                    }
-                  }
-                },
-                flux_stash_[static_cast<std::size_t>(group)],
-                /*defer_charges=*/true);
-          }
-          fold_ledgers(elems, flux_acc_);
+          run_phase(
+              slice_elements(bstep.first_slice, bstep.last_slice), stage, idx,
+              flux_acc_,
+              [&](const BlockResolver& blocks, mesh::ElementId e) {
+                plan_->run_flux_group(blocks, e, group);
+              },
+              [&](const BlockResolver& blocks,
+                  std::span<const mesh::ElementId> chunk) {
+                word_plan_->run_flux_group(blocks, chunk, group);
+              },
+              [this, group](mesh::ElementId e, FunctionalSink& sink) {
+                for (mesh::Face f : faces_of(group)) {
+                  const bool boundary = !mesh_.neighbor(e, f).has_value();
+                  emit_flux_face(setup_, f, boundary, sink,
+                                 flux_override(e, f));
+                }
+              },
+              flux_stash_[static_cast<std::size_t>(group)],
+              /*defer_charges=*/true);
           break;
         }
         case BatchStep::Kind::StoreSlices: {
@@ -933,80 +929,26 @@ void PimSimulation::run_schedule(double dt) {
           }
           if (vf <= bstep.last_slice) {
             trace::Span phase_span("pim.integration");
-            const auto elems = slice_elements(vf, vl);
-            if (word) {
-              run_word_phase(
-                  elems, stage, idx,
-                  [&](std::span<const mesh::ElementId> chunk) {
-                    word_plan_->run_integration(resolver, chunk, *integ_word);
-                  },
-                  [&](const BlockResolver& shadow, mesh::ElementId e) {
-                    plan_->run_integration(shadow, e, *integ_plan);
-                  });
-            } else if (compiled) {
-              pool().parallel_for(elems.size(), [&](std::size_t i) {
-                plan_->run_integration(resolver, elems[i], *integ_plan);
-              });
-            } else {
-              emit_range(
-                  elems,
-                  [this, cached, integ_prog, stage, dt](
-                      mesh::ElementId, FunctionalSink& sink) {
-                    if (cached) {
-                      replay(integ_prog->arena, integ_prog->stream, sink);
-                    } else {
-                      emit_integration_stage(setup_, stage,
-                                             static_cast<float>(dt), sink);
-                    }
-                  },
-                  integ_stash_, /*defer_charges=*/false);
-            }
-            fold_ledgers(elems, integ_acc_);
+            run_phase(
+                slice_elements(vf, vl), stage, idx, integ_acc_,
+                [&](const BlockResolver& blocks, mesh::ElementId e) {
+                  plan_->run_integration(blocks, e, *integ_plan);
+                },
+                [&](const BlockResolver& blocks,
+                    std::span<const mesh::ElementId> chunk) {
+                  word_plan_->run_integration(blocks, chunk, *integ_word);
+                },
+                [this, stage, dt32](mesh::ElementId, FunctionalSink& sink) {
+                  emit_integration_stage(setup_, stage, dt32, sink);
+                },
+                integ_stash_, /*defer_charges=*/false);
           }
           residency_->store_slices(bstep.first_slice, bstep.last_slice);
           break;
         }
       }
     }
-
-    // Flux phase B: the deferred neighbour-side read charges, settled
-    // over the disjoint pairings after every face group has run.
-    settle_charges(planned);
-
-    // Phase drains, in the fixed volume -> flux -> integration order.
-    drain_accumulators(volume_acc_, costs_.volume);
-    if (planned) {
-      drain_network_cached(volume_net_, plan_->volume_transfers());
-    } else {
-      merged_transfers_.clear();
-      for (const auto& list : transfer_stash_) {
-        merged_transfers_.insert(merged_transfers_.end(), list.begin(),
-                                 list.end());
-      }
-      drain_network(merged_transfers_);
-    }
-    drain_accumulators(flux_acc_, costs_.flux);
-    if (planned) {
-      drain_network_cached(flux_net_, plan_->flux_transfers());
-    } else {
-      // Element-ascending, each element's groups in its canonical
-      // application order — the exact emission order of the schedule,
-      // and the order the compiled plan pre-merges.
-      merged_transfers_.clear();
-      for (mesh::ElementId e = 0; e < mesh_.num_elements(); ++e) {
-        for (const FaceGroup g :
-             canonical_group_order(y_minus_deferred(mesh_, e))) {
-          const auto& list = flux_stash_[static_cast<std::size_t>(g)][e];
-          merged_transfers_.insert(merged_transfers_.end(), list.begin(),
-                                   list.end());
-        }
-      }
-      drain_network(merged_transfers_);
-    }
-    drain_accumulators(integ_acc_, costs_.integration);
-
-    // Staging traffic of this stage pass (zero when fully resident).
-    costs_.hbm += residency_->drain_hbm_cost();
+    drain_stage();
   }
 }
 

@@ -20,26 +20,23 @@
 
 namespace wavepim::mapping {
 
-/// Execution tier of the functional simulator. All four produce
+/// Execution tier of the functional simulator. All three produce
 /// bit-identical fields, cost channels and interconnect statistics
 /// (guarded by tests/mapping/exec_conformance_test.cpp); they trade
 /// host-side simulation speed against implementation directness:
 ///
-///  * `Emit`     — every element re-lowers its kernels every stage and
-///                 executes them through a FunctionalSink (PR 1).
-///  * `Replay`   — each shape class is lowered once into the program
-///                 cache; steps replay the cached relocatable streams
-///                 per element through a FunctionalSink (PR 2).
-///  * `Compiled` — the cached streams are additionally resolved into
-///                 per-class ExecutionPlan op arrays with batched cost
-///                 aggregates and pre-merged transfer lists, executed by
-///                 a non-virtual dispatch loop (PR 3).
-///  * `Word`     — the compiled streams are resolved once more into
-///                 vectorized word-level kernels run op-major over
-///                 chunks of same-class elements (mapping/word_plan.h),
-///                 with the compiled bit-serial path retained as an
-///                 optional differential witness (PR 7).
-enum class ExecPath : std::uint8_t { Emit, Replay, Compiled, Word };
+///  * `Emit`     — the reference: every element re-lowers its kernels
+///                 every stage and executes them through a FunctionalSink.
+///  * `Compiled` — the default: each shape class is lowered once into the
+///                 program cache and resolved into per-class
+///                 ExecutionPlan op arrays with batched cost aggregates
+///                 and pre-merged transfer lists, executed bit-serially
+///                 by a non-virtual dispatch loop. It is also the word
+///                 tier's differential witness.
+///  * `Word`     — the fast path: the compiled streams are resolved once
+///                 more into vectorized word-level kernels run over
+///                 chunks of same-class elements (mapping/word_plan.h).
+enum class ExecPath : std::uint8_t { Emit, Compiled, Word };
 
 [[nodiscard]] const char* to_string(ExecPath path);
 
@@ -134,25 +131,13 @@ class PimSimulation {
   [[nodiscard]] std::size_t num_threads() { return pool().size(); }
 
   /// Selects the execution tier (see ExecPath). The default comes from
-  /// `WAVEPIM_EXEC` (`emit` / `replay` / `compiled` / `word`); unset falls
-  /// back to the PR-2 `WAVEPIM_PROGRAM_CACHE` switch (on -> Replay,
-  /// off -> Emit).
+  /// `WAVEPIM_EXEC` (`emit` / `compiled` / `word`); unset means Compiled.
   void set_exec_path(ExecPath path) { exec_path_ = path; }
   [[nodiscard]] ExecPath exec_path() const { return exec_path_; }
   [[nodiscard]] static ExecPath default_exec_path();
 
-  /// Legacy PR-2 switch, kept as an alias over the tier: `true` selects
-  /// Replay, `false` direct Emit.
-  void set_program_cache(bool enabled) {
-    exec_path_ = enabled ? ExecPath::Replay : ExecPath::Emit;
-  }
-  [[nodiscard]] bool program_cache_enabled() const {
-    return exec_path_ != ExecPath::Emit;
-  }
-  /// The process-wide default: on unless `WAVEPIM_PROGRAM_CACHE` is set
-  /// to `0` or `off` (the CI cache-off lane and A/B runs).
-  [[nodiscard]] static bool default_program_cache_enabled();
-  /// The cache, once the first cached step has built it (nullptr before).
+  /// The cache, once the first compiled or word step has built it
+  /// (nullptr before).
   [[nodiscard]] const ProgramCache* program_cache() const {
     return cache_.get();
   }
@@ -161,7 +146,7 @@ class PimSimulation {
   /// the same (problem, expansion, boundary) class replay the identical
   /// streams, and ProgramCache::integration is thread-safe so tenants on
   /// different chips may lower stages concurrently. Uniform-material
-  /// problems only; call before the first cached/compiled/word step.
+  /// problems only; call before the first compiled or word step.
   void set_shared_cache(std::shared_ptr<ProgramCache> cache);
   /// The compiled plan, once the first compiled step has built it.
   [[nodiscard]] const ExecutionPlan* execution_plan() const {
@@ -306,6 +291,7 @@ class PimSimulation {
  private:
   using RemoteCharges =
       std::array<std::vector<FunctionalSink::DeferredCharge>, 6>;
+  using TransferStash = std::vector<std::vector<pim::Transfer>>;
 
   [[nodiscard]] ThreadPool& pool();
 
@@ -318,7 +304,7 @@ class PimSimulation {
   void emit_range(
       std::span<const mesh::ElementId> elements,
       const std::function<void(mesh::ElementId, FunctionalSink&)>& emit,
-      std::vector<std::vector<pim::Transfer>>& stash, bool defer_charges);
+      TransferStash& stash, bool defer_charges);
 
   /// Folds the physical block ledgers of `elements` into the phase's
   /// per-virtual-block accumulators and clears them — called at every
@@ -328,8 +314,9 @@ class PimSimulation {
                     std::vector<pim::OpCost>& acc);
 
   /// Flux phase B: applies the deferred neighbour-side read charges over
-  /// the precomputed disjoint face pairings into `flux_acc_`.
-  void settle_charges(bool compiled);
+  /// the precomputed disjoint face pairings into `flux_acc_`; the emit
+  /// tier's consumed charge lists are cleared for the next stage.
+  void settle_charges();
 
   /// Merges and clears a phase's accumulators into a cost channel:
   /// {max time, energy summed in ascending virtual-id order}.
@@ -366,25 +353,31 @@ class PimSimulation {
   void attach_chip();
   void build_face_pairings();
 
-  /// Builds the shape-class cache on the first cached step (classifies
-  /// the mesh, lowers each class once into the shared arena).
-  void ensure_cache();
-  /// Builds the compiled plan (and the cache beneath it) on the first
-  /// compiled step.
+  /// Builds the compiled plan on the first compiled step, and beneath it
+  /// the shape-class cache unless one was adopted (classifies the mesh,
+  /// lowers each class once into the shared arena).
   void ensure_plan();
   /// Builds the word plan (and the compiled plan beneath it — the word
   /// tier's cost source and witness) on the first word-tier step.
   void ensure_word_plan();
 
-  /// Runs one word-tier phase: chunked fan-out of `run_word` over
-  /// `elems`, wrapped in the witness protocol when this phase
-  /// application is selected by the cadence (snapshot before, shadow
-  /// re-execution + hash compare after). `run_shadow` re-executes one
-  /// element bit-serially through the given resolver.
-  template <typename RunWord, typename RunShadow>
-  void run_word_phase(std::span<const mesh::ElementId> elems, int stage,
-                      std::uint32_t step_idx, RunWord&& run_word,
-                      RunShadow&& run_shadow);
+  /// Runs one phase application over `elems` on the current tier — the
+  /// only tier dispatch of the step loop — then folds the touched
+  /// ledgers into `acc`. Each phase site supplies one callable per tier:
+  ///  * `run_compiled(resolver, element)` runs one element bit-serially
+  ///    through the ExecutionPlan: the compiled tier's fan-out body, and
+  ///    the word tier's witness shadow;
+  ///  * `run_word(resolver, chunk)` runs a kChunk slice of elements on
+  ///    the word kernels, wrapped in the witness protocol when the
+  ///    cadence selects this application (snapshot before, shadow
+  ///    re-execution + hash compare after);
+  ///  * `emit(element, sink)` re-lowers one element's kernels into a
+  ///    FunctionalSink whose transfers land in `stash` (see emit_range).
+  template <typename RunCompiled, typename RunWord, typename Emit>
+  void run_phase(std::span<const mesh::ElementId> elems, int stage,
+                 std::uint32_t step_idx, std::vector<pim::OpCost>& acc,
+                 RunCompiled&& run_compiled, RunWord&& run_word, Emit&& emit,
+                 TransferStash& stash, bool defer_charges);
 
   /// Copies the pre-state of `elems`' blocks into the witness snapshot.
   void witness_snapshot(std::span<const mesh::ElementId> elems);
@@ -397,9 +390,13 @@ class PimSimulation {
       const std::function<void(const BlockResolver&, mesh::ElementId)>&
           run_shadow);
 
+  /// End of an RK stage: flux phase B, the phase drains into the cost
+  /// and network channels, and the stage's HBM staging cost.
+  void drain_stage();
+
   /// One step: five RK stages, each a pass over the residency schedule's
-  /// step list, shared by all three tiers (they differ only in how one
-  /// element's stream runs: re-lower, replay, or compiled op loop).
+  /// step list, shared by all three tiers (they differ only in how a
+  /// phase runs, which run_phase dispatches).
   void run_schedule(double dt);
 
   /// Per-element coefficient overrides for heterogeneous media; empty
@@ -466,15 +463,14 @@ class PimSimulation {
   /// last store (the periodic staging slice is loaded and stored twice).
   std::vector<std::uint32_t> first_load_step_;
   std::vector<std::uint32_t> last_store_step_;
-  /// Recycled per-element stashes of the sink fan-outs (emit/replay
-  /// tiers). Volume and each flux face group keep their own stash so the
-  /// phase drains can merge in element (x canonical group) order no
-  /// matter which schedule step produced a list; integration emits no
-  /// transfers but needs a scratch stash for the sink protocol.
-  std::vector<std::vector<pim::Transfer>> transfer_stash_;
-  std::array<std::vector<std::vector<pim::Transfer>>, kNumFaceGroups>
-      flux_stash_;
-  std::vector<std::vector<pim::Transfer>> integ_stash_;
+  /// Recycled per-element stashes of the emit tier's sink fan-outs.
+  /// Volume and each flux face group keep their own stash so the phase
+  /// drains can merge in element (x canonical group) order no matter
+  /// which schedule step produced a list; integration emits no transfers
+  /// but needs a scratch stash for the sink protocol.
+  TransferStash transfer_stash_;
+  std::array<TransferStash, kNumFaceGroups> flux_stash_;
+  TransferStash integ_stash_;
   std::vector<RemoteCharges> charge_stash_;
   std::vector<pim::Transfer> merged_transfers_;
   /// Once-scheduled network phases of the compiled path.

@@ -5,6 +5,9 @@
 #include "common/error.h"
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -242,6 +245,64 @@ TEST(ThreadPool, NestedExceptionPropagatesToOuterCaller) {
                                    });
                                  }),
                std::runtime_error);
+}
+
+// Completion hand-off regression. The last chunk once decremented the
+// caller's counter outside the caller's done mutex, so the caller could
+// see zero, return and reuse its frame before that chunk locked the mutex
+// and notified the condition variable living there. The hooks order the
+// window: the caller holds off waiting until the last chunk has
+// decremented, and that chunk then gives the caller 200 ms to return.
+// With the hand-off under the mutex the caller cannot return before the
+// notify, so the wait times out. Without it the caller returns at once,
+// every time; the hook then ends the process with a failure before the
+// chunk can touch the dead frame (which would crash or hang instead).
+std::atomic<bool> g_decremented{false};
+std::atomic<bool> g_returned{false};
+std::atomic<bool> g_hook_done{false};
+
+bool wait_for_flag(const std::atomic<bool>& flag,
+                   std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, CallerCannotReturnBeforeTheLastChunkNotifies) {
+  g_decremented = false;
+  g_returned = false;
+  g_hook_done = false;
+  ThreadPool pool(2);
+  ThreadPool::set_completion_hooks({
+      .after_last_decrement =
+          [] {
+            g_decremented = true;
+            if (wait_for_flag(g_returned, std::chrono::milliseconds(200))) {
+              std::fputs(
+                  "FAILED: parallel_for returned while its last chunk had "
+                  "yet to notify\n",
+                  stderr);
+              std::_Exit(1);
+            }
+            g_hook_done = true;
+          },
+      .before_wait =
+          [] {
+            (void)wait_for_flag(g_decremented, std::chrono::seconds(10));
+          },
+  });
+  pool.parallel_for(8, [](std::size_t) {});
+  g_returned = true;
+  const bool hook_done =
+      wait_for_flag(g_hook_done, std::chrono::seconds(10));
+  ThreadPool::set_completion_hooks({});
+  EXPECT_TRUE(g_decremented.load());
+  EXPECT_TRUE(hook_done);
 }
 
 }  // namespace

@@ -90,8 +90,8 @@ void expect_identical(const RunResult& a, const RunResult& b, ExecPath path,
   EXPECT_EQ(a.net.serial_sum.value(), b.net.serial_sum.value());
 }
 
-constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Replay,
-                                  ExecPath::Compiled, ExecPath::Word};
+constexpr ExecPath kAllPaths[] = {ExecPath::Emit, ExecPath::Compiled,
+                                  ExecPath::Word};
 
 /// The serial fully-resident emit run is the reference every batched
 /// (tier x worker count) combination compares against.
@@ -154,11 +154,10 @@ TEST(BatchConformance, WindowBoundaryYFluxRegression) {
 
 TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
   // The mmap arena backs BOTH the on-chip blocks and the residency host
-  // backing store, and fusion rewrites the streams the batched word runs
-  // execute — so the over-capacity path gets its own knob sweep: with
-  // the arena or fusion disabled, the batched word run must still match
-  // the fully-resident serial emit reference bit for bit on fields and
-  // every compute/net channel (hbm staging stays the only difference).
+  // backing store, so the over-capacity path gets its own arena sweep:
+  // with the heap fallback, the batched word run must still match the
+  // fully-resident serial emit reference bit for bit on fields and every
+  // compute/net channel (hbm staging stays the only difference).
   const Problem problem{ProblemKind::Acoustic, 2, 3};
   const auto resident = [&] {
     return std::make_unique<PimSimulation>(problem, ExpansionMode::None,
@@ -169,29 +168,17 @@ TEST(BatchConformance, WordKnobsInvisibleOnBatchedResidencyPath) {
                                            capped_chip(32));
   };
   const RunResult reference = run_at(resident, ExecPath::Emit, 1, 1);
-  const struct {
-    const char* label;
-    const char* var;
-    const char* value;
-  } variants[] = {
-      {"arena off", "WAVEPIM_WORD_ARENA", "0"},
-      {"fusion off", "WAVEPIM_WORD_FUSE", "0"},
-  };
-  for (const auto& v : variants) {
-    SCOPED_TRACE(v.label);
-    const char* old = std::getenv(v.var);
-    const std::string saved = old != nullptr ? old : "";
-    setenv(v.var, v.value, /*overwrite=*/1);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      expect_identical(reference,
-                       run_at(batched, ExecPath::Word, threads, 1),
-                       ExecPath::Word, threads);
-    }
-    if (old != nullptr) {
-      setenv(v.var, saved.c_str(), /*overwrite=*/1);
-    } else {
-      unsetenv(v.var);
-    }
+  const char* old = std::getenv("WAVEPIM_WORD_ARENA");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("WAVEPIM_WORD_ARENA", "0", /*overwrite=*/1);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    expect_identical(reference, run_at(batched, ExecPath::Word, threads, 1),
+                     ExecPath::Word, threads);
+  }
+  if (old != nullptr) {
+    setenv("WAVEPIM_WORD_ARENA", saved.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("WAVEPIM_WORD_ARENA");
   }
 }
 

@@ -37,6 +37,13 @@ struct Table5Case {
   const char* expected;
 };
 
+// Names each case "<problem> on <chip>". Without it gtest prints the raw
+// object bytes, which include padding and string-literal addresses, so the
+// discovered test names change from build to build.
+void PrintTo(const Table5Case& c, std::ostream* os) {
+  *os << c.problem.name() << " on " << c.chip;
+}
+
 class Table5 : public ::testing::TestWithParam<Table5Case> {};
 
 TEST_P(Table5, ConfigurationMatchesPaper) {

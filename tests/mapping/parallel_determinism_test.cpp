@@ -3,13 +3,10 @@
 // schedule (element-ordered transfer merge, two-phase flux with pairing-
 // settled neighbour charges, block-id-ordered ledger drain) must make the
 // nodal fields AND every cost channel bit-identical for any worker count.
-// The same harness doubles as the shape-class cache conformance suite:
-// replaying cached streams must match direct emission bit-for-bit — fields,
-// cycle/energy channels, and interconnect statistics — at every worker
-// count (the CacheConformance tests below).
+// The tests run on the process-default tier, so each CI lane's
+// WAVEPIM_EXEC choice is held to the same contract.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "mapping/simulation.h"
@@ -27,18 +24,11 @@ struct RunResult {
 };
 
 /// Runs `steps` time steps at the given worker count and returns the final
-/// nodal field plus the accumulated cost report. `cache` forces the
-/// program cache on or off; nullopt keeps the process default, so the
-/// pre-existing determinism tests exercise whichever path the CI lane
-/// selects via WAVEPIM_PROGRAM_CACHE.
+/// nodal field plus the accumulated cost report.
 template <typename MakeSim>
-RunResult run_at(MakeSim&& make_sim, std::size_t threads, int steps,
-                 std::optional<bool> cache = std::nullopt) {
+RunResult run_at(MakeSim&& make_sim, std::size_t threads, int steps) {
   auto sim = make_sim();
   sim->set_num_threads(threads);
-  if (cache.has_value()) {
-    sim->set_program_cache(*cache);
-  }
   dg::Field u(sim->mesh().num_elements(), sim->setup().problem().num_vars(),
               static_cast<std::size_t>(sim->setup().ref().num_nodes()));
   for (std::size_t e = 0; e < u.num_elements(); ++e) {
@@ -179,80 +169,18 @@ TEST(ParallelDeterminism, RepeatedRunsAgree) {
   expect_identical(run_at(make, 3, 1), run_at(make, 3, 1), 3);
 }
 
-// ---- Shape-class cache conformance ----------------------------------------
-// Cache on vs off must agree bit-for-bit: nodal fields, every cost
-// channel (cycle time + energy) and the interconnect statistics, at
-// serial, mid, and hardware worker counts. The uncached serial run is
-// the single reference all six combinations compare against.
-template <typename MakeSim>
-void expect_cache_conformance(MakeSim&& make, int steps) {
-  const RunResult reference = run_at(make, 1, steps, /*cache=*/false);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    expect_identical(reference, run_at(make, threads, steps, false), threads);
-    expect_identical(reference, run_at(make, threads, steps, true), threads);
-  }
-}
-
-TEST(CacheConformance, UniformPeriodic) {
-  // One shape class (uniform coefficients, no boundary faces): the
-  // maximal-reuse case.
-  const auto make = [] {
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
-        pim::chip_512mb());
-  };
-  expect_cache_conformance(make, 2);
-}
-
-TEST(CacheConformance, HeterogeneousAcoustic) {
-  // Two material layers: the cache must key streams by the interned
-  // per-element (and per-face-pair) coefficient sets.
-  const auto make = [] {
-    mesh::StructuredMesh mesh(2, 1.0, Boundary::Periodic);
-    dg::MaterialField<dg::AcousticMaterial> mats(mesh.num_elements(), {});
-    for (mesh::ElementId e = 0; e < mesh.num_elements(); ++e) {
-      if (mesh.coords_of(e)[2] >= 2) {
-        mats.set(e, {.kappa = 4.0, .rho = 2.0});
-      }
-    }
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::Acoustic, 2, 3}, ExpansionMode::None,
-        pim::chip_512mb(), mats);
-  };
-  expect_cache_conformance(make, 1);
-}
-
-TEST(CacheConformance, ReflectiveElastic) {
-  // Reflective walls split elements into boundary-pattern classes whose
-  // wall faces emit no neighbour pulls.
-  const auto make = [] {
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::ElasticCentral, 1, 3}, ExpansionMode::Elastic3,
-        pim::chip_512mb(), Boundary::Reflective);
-  };
-  expect_cache_conformance(make, 2);
-}
-
-TEST(CacheConformance, SelfNeighbour) {
-  // Level 0 periodic: one element that is its own neighbour on all six
-  // faces — the relocatable streams carry no neighbour identity, so the
-  // degenerate resolution happens entirely in the sink.
-  const auto make = [] {
-    return std::make_unique<PimSimulation>(
-        Problem{ProblemKind::Acoustic, 0, 3}, ExpansionMode::None,
-        pim::chip_512mb());
-  };
-  expect_cache_conformance(make, 2);
-}
-
+// ---- Shape-class cache --------------------------------------------------
+// Bit-identity of the cached tiers against direct emission is
+// ExecConformance's job; this checks that the cache really shares
+// streams between equivalent elements.
 TEST(CacheConformance, ClassCountsMatchProblemStructure) {
   // The cache must actually collapse equivalent elements: a uniform
   // periodic mesh is a single class; a reflective level-2 mesh has one
   // class per boundary-face pattern (3^3 corner/edge/face/interior
   // combinations = 27); a two-layer medium splits classes by material.
   const auto classes_of = [](PimSimulation& sim) {
-    sim.set_program_cache(true);  // force on regardless of the CI lane
-    sim.step(1.0e-4);             // builds the cache on the first step
+    sim.set_exec_path(ExecPath::Compiled);  // regardless of the CI lane
+    sim.step(1.0e-4);  // builds the cache on the first step
     return sim.program_cache()->num_classes();
   };
 
